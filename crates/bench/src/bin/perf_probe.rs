@@ -8,17 +8,25 @@
 //! (16 benchmarks × 5 variants, one sweep worker):
 //!
 //! 1. **decoded_serial** — the default decoded executor on the serial
-//!    event-driven engine (`smx_jobs = 1`): the number that matters.
+//!    event-driven engine (`smx_jobs = 1`, every SMX staged inline on
+//!    the stepping thread): the number that matters.
 //! 2. **legacy_serial** — the same engine with `legacy_exec = true`: one
 //!    `lane_step` call per active lane per issue. The decoded/legacy
 //!    wall-clock ratio is the executor speedup, measured on identical
 //!    workloads producing identical cycles.
 //! 3. **sharded_auto** — decoded executor, `smx_jobs = 0`: the auto
 //!    policy resolves worker count and fan-out threshold from the host's
-//!    spare parallelism.
+//!    spare parallelism. On a host with no spare core it resolves to
+//!    inline staging — the same code as `decoded_serial`, so its ratio is
+//!    two timings of one path, not a speedup.
 //! 4. **sharded_x4** — decoded executor, forced `smx_jobs = 4`: the
 //!    oversubscription stress cell from PR 9, re-priced on the decoded
 //!    path.
+//!
+//! Each path records how it resolved on this host: `effective_smx_jobs`,
+//! `pool_threshold` (the minimum issuable SMXs before a step fans out;
+//! `null` = never) and `stages_on_pool` (whether any step can reach the
+//! worker pool at all).
 //!
 //! All four paths must agree on total `sim_cycles` — the probe **exits
 //! 1** on any mismatch, so CI cannot record a benchmark number produced
@@ -32,7 +40,8 @@
 //! Usage: `perf_probe [--out PATH]` (default `BENCH_pr10.json`).
 
 use bench::SweepRunner;
-use gpu_sim::GpuConfig;
+use gpu_isa::Program;
+use gpu_sim::{Gpu, GpuConfig};
 use std::time::Instant;
 use workloads::{Benchmark, Scale, Variant};
 
@@ -40,6 +49,10 @@ use workloads::{Benchmark, Scale, Variant};
 const DECODED_SPEEDUP_FLOOR: f64 = 1.25;
 
 struct PathNumbers {
+    /// Resolved stage-phase worker count.
+    smx_jobs: usize,
+    /// Resolved fan-out threshold; `None` = the pool is never used.
+    pool_threshold: Option<usize>,
     wall_seconds: f64,
     sim_cycles: u64,
     cells_ok: usize,
@@ -59,6 +72,9 @@ impl PathNumbers {
         format!(
             concat!(
                 "{{\n",
+                "    \"effective_smx_jobs\": {},\n",
+                "    \"pool_threshold\": {},\n",
+                "    \"stages_on_pool\": {},\n",
                 "    \"wall_seconds\": {:.3},\n",
                 "    \"sim_cycles\": {},\n",
                 "    \"cycles_per_sec\": {:.0},\n",
@@ -67,6 +83,10 @@ impl PathNumbers {
                 "    \"cells_per_sec\": {:.3}\n",
                 "  }}"
             ),
+            self.smx_jobs,
+            self.pool_threshold
+                .map_or_else(|| "null".to_string(), |t| t.to_string()),
+            self.smx_jobs > 1 && self.pool_threshold.is_some(),
             self.wall_seconds,
             self.sim_cycles,
             self.cycles_per_sec(),
@@ -77,7 +97,12 @@ impl PathNumbers {
     }
 }
 
-fn summarize(run: impl FnOnce() -> bench::Matrix) -> PathNumbers {
+fn summarize(cfg: &GpuConfig, run: impl FnOnce() -> bench::Matrix) -> PathNumbers {
+    // Resolved as inside the one-wide sweep the path runs in.
+    let (smx_jobs, threshold) = gpu_sim::sweep::with_pool_width(1, || {
+        let gpu = Gpu::new(cfg.clone(), Program::new());
+        (gpu.effective_smx_jobs(), gpu.effective_pool_threshold())
+    });
     let benchmarks = Benchmark::ALL;
     let variants = Variant::MAIN;
     let t0 = Instant::now();
@@ -95,6 +120,8 @@ fn summarize(run: impl FnOnce() -> bench::Matrix) -> PathNumbers {
         }
     }
     PathNumbers {
+        smx_jobs,
+        pool_threshold: (threshold != usize::MAX).then_some(threshold),
         wall_seconds,
         sim_cycles,
         cells_ok,
@@ -106,8 +133,13 @@ fn sweep(jobs: usize, legacy_exec: bool) -> PathNumbers {
     let mut cfg = GpuConfig::k20c();
     cfg.smx_jobs = jobs;
     cfg.legacy_exec = legacy_exec;
-    summarize(|| {
-        SweepRunner::new(1).run_matrix_with(&Benchmark::ALL, &Variant::MAIN, Scale::Test, cfg)
+    summarize(&cfg, || {
+        SweepRunner::new(1).run_matrix_with(
+            &Benchmark::ALL,
+            &Variant::MAIN,
+            Scale::Test,
+            cfg.clone(),
+        )
     })
 }
 

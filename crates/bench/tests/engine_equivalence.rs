@@ -1,19 +1,81 @@
 //! The engines' headline contract at workload scale: across the full
 //! benchmark matrix, every execution engine — per-cycle, event-driven,
-//! and the two-phase sharded engine at any `smx_jobs` — must produce
-//! `Stats` structurally identical to the serial baseline — cycle counts,
-//! launch records, memory counters, occupancy integrals, the lot. Any
-//! component whose `next_event_at` horizon overshoots its true next state
-//! change, or any staged effect committed out of serial order, shows up
-//! here as a divergence.
+//! and the two-phase engine staging inline or on its worker pool at any
+//! `smx_jobs` — must produce `Stats` structurally identical to the
+//! serial baseline — cycle counts, launch records, memory counters,
+//! occupancy integrals, the lot. Any component whose `next_event_at`
+//! horizon overshoots its true next state change, or any staged effect
+//! committed out of stream order, shows up here as a divergence.
+//!
+//! The serial baseline itself is pinned by `golden_serial.tsv`: the
+//! output of the single-phase serial engine that applied every effect
+//! directly, recorded before that engine was folded into the staged one.
+//! Every default-config (`smx_jobs = 1`) matrix and trace computed here
+//! is checked against it.
 
 use bench::{Matrix, SweepRunner};
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
-use gpu_sim::{BudgetKind, CancelToken, Gpu, GpuConfig, SimError, Stats};
+use gpu_sim::{BudgetKind, CancelToken, Fnv, Gpu, GpuConfig, SimError, Stats};
 use gpu_trace::{Category, TraceConfig};
 use workloads::{Benchmark, Scale, Variant};
 
 const VARIANTS: [Variant; 3] = [Variant::Flat, Variant::Cdp, Variant::Dtbl];
+
+/// The launch-heavy benchmarks whose JSONL traces are compared byte for
+/// byte.
+const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
+
+/// One row per Test cell (`cell`, benchmark, variant, cycles, FNV-1a of
+/// the `Stats` Debug form) and one per traced configuration (`trace`,
+/// metrics interval, FNV-1a of the JSONL export of the [`TRACED`] cells).
+const GOLDEN: &str = include_str!("golden_serial.tsv");
+
+fn fnv_hex(bytes: &[u8]) -> String {
+    format!("{:016x}", Fnv::new().bytes(bytes).finish())
+}
+
+/// Asserts `actual` equals the golden rows that start with `prefix`,
+/// printing the actual rows on a mismatch.
+fn assert_golden(prefix: &str, actual: &[String]) {
+    let expected: Vec<&str> = GOLDEN.lines().filter(|l| l.starts_with(prefix)).collect();
+    assert!(
+        !expected.is_empty() && actual.iter().map(String::as_str).eq(expected),
+        "rows `{prefix}..` diverged from golden_serial.tsv; actual rows:\n{}",
+        actual.join("\n")
+    );
+}
+
+/// Checks a default-config matrix over every benchmark against the
+/// golden cell rows.
+fn assert_matrix_golden(m: &Matrix) {
+    let mut rows = Vec::new();
+    for &bm in Benchmark::ALL.iter() {
+        for &v in &VARIANTS {
+            rows.push(if m.contains(bm, v) {
+                let stats = &m.get(bm, v).stats;
+                let digest = fnv_hex(format!("{stats:?}").as_bytes());
+                format!("cell\t{bm}\t{v}\t{}\t{digest}", stats.cycles)
+            } else {
+                format!("cell\t{bm}\t{v}\tfailed\t-")
+            });
+        }
+    }
+    assert_golden("cell\t", &rows);
+}
+
+/// Checks a default-config JSONL export of the [`TRACED`] cells against
+/// the golden trace row for its metrics interval.
+fn assert_trace_golden(metrics_interval: u32, jsonl: &str) {
+    let prefix = format!("trace\t{metrics_interval}\t");
+    assert_golden(&prefix, &[format!("{prefix}{}", fnv_hex(jsonl.as_bytes()))]);
+}
+
+/// The default-config matrix, checked against the golden table.
+fn serial_matrix() -> Matrix {
+    let m = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
+    assert_matrix_golden(&m);
+    m
+}
 
 /// Asserts two matrices agree cell-for-cell: same failure set, and
 /// bit-identical `Stats` on every successful cell.
@@ -47,7 +109,7 @@ fn assert_matrices_identical(a: &Matrix, b: &Matrix, what: &str) {
 /// affect results.
 #[test]
 fn event_driven_stats_match_per_cycle() {
-    let evented = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
+    let evented = serial_matrix();
     let mut cfg = GpuConfig::k20c();
     cfg.force_per_cycle = true;
     let percycle =
@@ -55,37 +117,42 @@ fn event_driven_stats_match_per_cycle() {
     assert_matrices_identical(&evented, &percycle, "event-driven vs per-cycle");
 }
 
-/// The two-phase sharded engine across the full 16-benchmark × 3-variant
-/// matrix: `smx_jobs` of 2, 4 and auto (0) must all reproduce the serial
-/// engine's `Stats` bit-for-bit. The sharded runs go through a sweep pool
-/// as well, so this also covers the pool × intra-sim composition rules.
+/// Pooled staging across the full 16-benchmark × 3-variant matrix:
+/// `smx_jobs` of 2 and 4 with the pool forced on (`pool_min_issuable =
+/// 2`) must reproduce the serial `Stats` bit-for-bit. Under the auto
+/// threshold these cells would stage inline inside a 4-wide sweep pool
+/// on any host with ≤4 cores — the serial engine's own code — so the
+/// threshold is pinned to keep chunked worker-pool staging compared on
+/// every host. The runs go through a sweep pool as well, so this also
+/// covers the pool × intra-sim composition rules.
 #[test]
 fn sharded_engine_stats_match_serial_across_matrix() {
-    let serial = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
-    for jobs in [2usize, 4, 0] {
+    let serial = serial_matrix();
+    for jobs in [2usize, 4] {
         let mut cfg = GpuConfig::k20c();
         cfg.smx_jobs = jobs;
-        let sharded =
+        cfg.pool_min_issuable = 2;
+        let pooled =
             SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
         assert_matrices_identical(
             &serial,
-            &sharded,
-            &format!("serial vs sharded (smx_jobs={jobs})"),
+            &pooled,
+            &format!("serial vs forced pool (smx_jobs={jobs})"),
         );
     }
 }
 
 /// Event traces, not just aggregate stats: on three launch-heavy
-/// benchmarks the JSONL export of a sharded run must be *byte-identical*
+/// benchmarks the JSONL export of a pooled run must be *byte-identical*
 /// to the serial run — same events, same order, same cycle stamps. The
 /// per-SMX shard trace buffers are merged in SMX-index order at commit,
-/// which is exactly the serial engine's emission order.
+/// which is exactly the order one inline shard emits them in.
 #[test]
 fn sharded_engine_traces_match_serial_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
-    let jsonl = |jobs: usize| -> String {
+    let jsonl = |jobs: usize, pool_min: usize| -> String {
         let mut cfg = GpuConfig::k20c();
         cfg.smx_jobs = jobs;
+        cfg.pool_min_issuable = pool_min;
         cfg.trace = TraceConfig {
             mask: Category::default_mask(),
             metrics_interval: 1000,
@@ -95,12 +162,12 @@ fn sharded_engine_traces_match_serial_byte_for_byte() {
         assert!(m.failures().is_empty(), "traced runs must all succeed");
         gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
     };
-    let serial = jsonl(1);
-    assert!(!serial.is_empty());
-    for jobs in [2usize, 13] {
+    let serial = jsonl(1, 0);
+    assert_trace_golden(1000, &serial);
+    for jobs in [2usize, 4] {
         assert!(
-            jsonl(jobs) == serial,
-            "smx_jobs={jobs}: JSONL trace diverged from the serial engine"
+            jsonl(jobs, 2) == serial,
+            "forced pool, smx_jobs={jobs}: JSONL trace diverged from the serial engine"
         );
     }
 }
@@ -109,31 +176,23 @@ fn sharded_engine_traces_match_serial_byte_for_byte() {
 /// batching on (the default), a staged step whose effects were all
 /// SMX-pure may jump straight to the next event horizon — executing
 /// *fewer* steps than the per-cycle-equivalent run — yet every cell's
-/// `Stats` must stay bit-identical to runs with batching off and to the
-/// serial engine. The forced-pool cell (`pool_min_issuable = 2`) pins
-/// worker-pool staging into the comparison even on 1-core CI, where the
-/// auto policy would stage inline.
+/// `Stats` must stay bit-identical to runs with batching off. The
+/// batched side is the serial matrix itself (pinned by the golden
+/// table); batched pooled staging is compared by
+/// `sharded_engine_stats_match_serial_across_matrix`.
 #[test]
 fn epoch_batched_matrix_matches_serial_and_unbatched() {
-    let serial = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
-    let mut cells: Vec<(String, GpuConfig)> = Vec::new();
+    let serial = serial_matrix();
     for jobs in [2usize, 4] {
-        let mut on = GpuConfig::k20c();
-        on.smx_jobs = jobs;
-        on.epoch_batching = true;
-        cells.push((format!("epochs on, smx_jobs={jobs}"), on));
         let mut off = GpuConfig::k20c();
         off.smx_jobs = jobs;
         off.epoch_batching = false;
-        cells.push((format!("epochs off, smx_jobs={jobs}"), off));
-    }
-    let mut pooled = GpuConfig::k20c();
-    pooled.smx_jobs = 2;
-    pooled.pool_min_issuable = 2;
-    cells.push(("epochs on, forced pool, smx_jobs=2".into(), pooled));
-    for (what, cfg) in cells {
-        let m = SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
-        assert_matrices_identical(&serial, &m, &format!("serial vs {what}"));
+        let m = SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, off);
+        assert_matrices_identical(
+            &serial,
+            &m,
+            &format!("serial vs epochs off, smx_jobs={jobs}"),
+        );
     }
 }
 
@@ -147,7 +206,6 @@ fn epoch_batched_matrix_matches_serial_and_unbatched() {
 /// fail here.
 #[test]
 fn epoch_batched_traces_match_serial_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
     let jsonl = |jobs: usize, pool_min: usize| -> String {
         let mut cfg = GpuConfig::k20c();
         cfg.smx_jobs = jobs;
@@ -162,7 +220,7 @@ fn epoch_batched_traces_match_serial_byte_for_byte() {
         gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
     };
     let serial = jsonl(1, 0);
-    assert!(!serial.is_empty());
+    assert_trace_golden(0, &serial);
     for (jobs, pool_min) in [(2usize, 2usize), (13, 0)] {
         assert!(
             jsonl(jobs, pool_min) == serial,
@@ -220,7 +278,6 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
 /// stamps (cached reports carry the leader's recorded trace verbatim).
 #[test]
 fn warm_and_cached_traces_match_cold_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
     let mut cfg = GpuConfig::k20c();
     cfg.trace = TraceConfig {
         mask: Category::default_mask(),

@@ -35,16 +35,8 @@ use crate::SEGMENT_BYTES;
 /// ```
 pub fn coalesce(addrs: &[Option<u32>]) -> Vec<u32> {
     let mut segs: Vec<u32> = Vec::with_capacity(4);
-    coalesce_into(addrs, &mut segs);
+    coalesce_append(addrs, &mut segs);
     segs
-}
-
-/// [`coalesce`] into a caller-provided buffer (cleared first), so the
-/// per-memory-instruction hot path can reuse one scratch vector instead
-/// of allocating a fresh `Vec` for every warp access.
-pub fn coalesce_into(addrs: &[Option<u32>], segs: &mut Vec<u32>) {
-    segs.clear();
-    let _ = coalesce_append(addrs, segs);
 }
 
 /// [`coalesce`] appended onto a caller-provided buffer *without* clearing

@@ -216,6 +216,36 @@ mod tests {
         assert_eq!(back[1].1.stats.cycles, 20);
     }
 
+    /// The parser's nesting limit must sit well above the deepest
+    /// document the daemon persists: a cache line carrying launch records.
+    #[test]
+    fn persisted_lines_nest_well_below_the_parser_limit() {
+        fn depth(v: &Json) -> usize {
+            match v {
+                Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let (key, mut report) = entry("amr", 1);
+        report.stats.launches.push(gpu_sim::LaunchRecord {
+            kind: gpu_sim::DynLaunchKind::DeviceKernel,
+            launched_at: 1,
+            first_tb_at: Some(2),
+            ntb: 1,
+            threads_per_tb: 32,
+            reserved_bytes: 64,
+        });
+        let text = to_jsonl(&[(key, report)]);
+        let deepest = text
+            .lines()
+            .map(|l| depth(&Json::parse(l).expect("persisted line parses")))
+            .max()
+            .expect("lines");
+        assert_eq!(deepest, 5, "line → report → stats → launches → record");
+        assert!(deepest * 8 <= gpu_trace::json::MAX_DEPTH);
+    }
+
     #[test]
     fn corrupted_file_loads_as_cold_cache() {
         let path = tmp_path("corrupt");

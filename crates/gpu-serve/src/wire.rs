@@ -806,6 +806,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_rejected() {
+        let e = parse_request(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(e.contains("nesting deeper than"), "{e}");
+        let e = parse_request(&format!("{{\"op\":{}", "[".repeat(1_000_000))).unwrap_err();
+        assert!(e.contains("nesting deeper than"), "{e}");
+    }
+
+    #[test]
     fn wait_defaults_its_timeout() {
         match parse_request("{\"op\":\"wait\",\"job\":7}").unwrap() {
             Request::Wait { job, timeout_ms } => {

@@ -339,22 +339,23 @@ pub struct GpuConfig {
     /// non-zero metrics-sampling interval forces per-cycle stepping
     /// automatically so sample timestamps are unchanged.
     pub force_per_cycle: bool,
-    /// Worker threads for the two-phase (stage/commit) intra-simulation
-    /// engine: SMX shards stage their slice of a cycle in parallel, then
-    /// commit in SMX-index order, producing Stats and traces bit-identical
-    /// to the serial engine (see DESIGN.md, "The two-phase determinism
-    /// contract"). `1` selects today's serial engine; `0` means auto (the
+    /// Worker threads for the two-phase (stage/commit) engine every run
+    /// takes: SMX shards stage their slice of a cycle, then commit in
+    /// SMX-index order, so Stats and traces are bit-identical at any
+    /// worker count (see DESIGN.md, "The two-phase determinism
+    /// contract"). `1` is the serial engine — every shard staged inline
+    /// on the stepping thread, no pool; `0` means auto (the
     /// machine's available parallelism, divided by the width of any
     /// enclosing sweep pool so nested parallelism degrades gracefully,
     /// capped at `num_smx`); an explicit `N > 1` is honored as-is (capped
     /// at `num_smx`). Defaults to the `SMX_JOBS` environment variable when
     /// set and parsable, else 1.
     pub smx_jobs: usize,
-    /// Multi-cycle stage epochs for the two-phase engine: after a step
-    /// whose only activity was SMX-local (warp picks with zero staged
-    /// cross-SMX effects — no launches, global transactions, TB
-    /// completions or installs), jump straight to the next event horizon
-    /// instead of stepping again to confirm quiescence. Provably
+    /// Multi-cycle stage epochs: after a step whose only activity was
+    /// SMX-local (warp picks with zero staged cross-SMX effects — no
+    /// launches, global transactions, TB completions or installs), jump
+    /// straight to the next event horizon instead of stepping again to
+    /// confirm quiescence. Provably
     /// result-identical (the skipped cycles are exactly the ones the
     /// event engine already proves inert; see DESIGN.md, "Epoch
     /// amortization"); only the number of executed steps changes. `false`
@@ -603,26 +604,46 @@ impl GpuConfig {
     }
 }
 
-/// Chainable 64-bit FNV-1a used by [`GpuConfig::content_hash`]. Every
-/// value is folded as 8 little-endian bytes so field boundaries cannot
-/// alias (two adjacent small fields never merge into one stream).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
+/// Chainable 64-bit FNV-1a used by [`GpuConfig::content_hash`] and by
+/// the golden-reference digests of the equivalence suites. Every integer
+/// is folded as 8 little-endian bytes so field boundaries cannot alias
+/// (two adjacent small fields never merge into one stream).
+///
+/// ```
+/// use gpu_sim::Fnv;
+/// // The FNV-1a test vector for "a".
+/// assert_eq!(Fnv::new().bytes(b"a").finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn new() -> Self {
+    /// The FNV-1a offset basis (the digest of the empty stream).
+    pub fn new() -> Self {
         Fnv(Self::OFFSET)
     }
 
-    fn u(mut self, v: u64) -> Self {
-        for b in v.to_le_bytes() {
+    /// Folds `bytes` in order.
+    pub fn bytes(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
         self
+    }
+
+    /// Folds `v` as 8 little-endian bytes.
+    pub fn u(self, v: u64) -> Self {
+        self.bytes(&v.to_le_bytes())
     }
 
     /// `None` and `Some(v)` hash differently for every `v`, including 0.
@@ -640,7 +661,8 @@ impl Fnv {
             .u(u64::from(c.write_back))
     }
 
-    fn finish(self) -> u64 {
+    /// The digest of everything folded so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
 }

@@ -11,14 +11,9 @@ use crate::smx::warp::WarpState;
 use crate::smx::{Smx, Tbcr};
 use crate::stats::Stats;
 use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
-use gpu_isa::{
-    apply_atomic, exec_alu, lane_step, Dim3, Effect, KernelId, LaneView, LatClass, LaunchKind,
-    LaunchRequest, Program, Space, ThreadEnv, UOp, WARP_SIZE,
-};
-use gpu_mem::{
-    coalesce::coalesce_into, AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem,
-};
-use gpu_trace::{Category, EventKind, Recorder, StallReason};
+use gpu_isa::{apply_atomic, KernelId, LatClass, Program, WARP_SIZE};
+use gpu_mem::{AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem};
+use gpu_trace::{Category, EventKind, Recorder};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -122,23 +117,12 @@ pub struct Gpu {
     /// Pooled scratch for the FCFS order walked by `distribute_tbs`
     /// (reused every cycle so the distribution path never allocates).
     pub(crate) kde_buf: Vec<u32>,
-    /// Pooled scratch for the per-lane launch requests gathered by one
-    /// `LaunchDevice`/`LaunchAgg` issue.
-    pub(crate) launch_buf: Vec<(u32, gpu_isa::LaunchRequest)>,
-    /// Pooled scratch for the coalesced memory-transaction segments of
-    /// one warp memory instruction.
-    pub(crate) txn_buf: Vec<u32>,
     /// Per-SMX staging buffers for the two-phase engine; empty until the
-    /// first staged step (the serial engine never fills them).
+    /// first step that stages.
     pub(crate) shards: Vec<SmxEffects>,
     /// Pooled scratch for the tracked access ids of one committed
     /// `MemIssue` item.
     pub(crate) txn_ids_buf: Vec<AccessId>,
-    /// Cycle at which the shard staging buffers were last filled
-    /// (`u64::MAX` = never): a quiet staged step's horizon reduction can
-    /// then reuse the shard-local `next_ready_at` bounds instead of
-    /// rescanning every warp slab serially.
-    pub(crate) staged_at: u64,
     /// Steps actually executed (cycles stepped, not skipped). Equals
     /// `cycle` under per-cycle stepping; far smaller under event-driven
     /// stepping on latency-bound workloads. Not part of [`Stats`] — the
@@ -235,11 +219,8 @@ impl Gpu {
             rr_smx: 0,
             mem_buf: Vec::new(),
             kde_buf: Vec::new(),
-            launch_buf: Vec::new(),
-            txn_buf: Vec::new(),
             shards: Vec::new(),
             txn_ids_buf: Vec::new(),
-            staged_at: u64::MAX,
             steps_executed: 0,
             progress_marker: 0,
             tracer: Recorder::new(cfg.trace),
@@ -300,8 +281,6 @@ impl Gpu {
         self.rr_smx = 0;
         self.mem_buf.clear();
         self.kde_buf.clear();
-        self.launch_buf.clear();
-        self.txn_buf.clear();
         // Reset the shard buffers element-wise: `Vec::clear` on the outer
         // vec would drop each `SmxEffects` and with it every staging
         // buffer's capacity, making the first epochs after a rebind
@@ -311,7 +290,6 @@ impl Gpu {
             fx.clear();
         }
         self.txn_ids_buf.clear();
-        self.staged_at = u64::MAX;
         self.steps_executed = 0;
         self.progress_marker = 0;
         self.tracer = Recorder::new(cfg.trace);
@@ -552,18 +530,14 @@ impl Gpu {
         self.run_started = Some(Instant::now());
         let jobs = self.effective_smx_jobs();
         self.pool_threshold = self.effective_pool_threshold();
-        let result = if jobs <= 1 {
+        // Every run stages each SMX's slice of a cycle and commits the
+        // shards in SMX order; the only choice is who stages. Without a
+        // spare worker (one job, or a threshold that says the barrier
+        // never pays off on this host) the stepping thread stages inline
+        // and no pool member is spawned to spin against a barrier that
+        // never opens.
+        let result = if jobs <= 1 || self.pool_threshold == usize::MAX {
             self.run_loop(None)
-        } else if self.pool_threshold == usize::MAX {
-            // The two-phase engine without its worker pool: the threshold
-            // says the barrier never pays off on this host, so every step
-            // stages inline (bit-identical to pooled staging) and no pool
-            // member is spawned to spin against a barrier that never
-            // opens.
-            let ctrl = StageControl::new(1);
-            let r = self.run_loop(Some(&ctrl));
-            ctrl.shutdown();
-            r
         } else {
             let ctrl = StageControl::new(jobs);
             std::thread::scope(|scope| {
@@ -626,8 +600,8 @@ impl Gpu {
         }
     }
 
-    /// The run loop shared by both engines; `ctrl` selects the two-phase
-    /// staged path (`Some`) or the serial path (`None`).
+    /// The run loop shared by every engine mode; `ctrl` is the worker pool
+    /// that stages busy steps (`None` = stage inline).
     fn run_loop(&mut self, ctrl: Option<&StageControl>) -> Result<(), SimError> {
         // Interval metrics sample *every* cycle boundary; skipping would
         // drop samples, so tracing with an interval forces per-cycle mode.
@@ -648,8 +622,8 @@ impl Gpu {
             if event_driven && jumpable && !self.is_idle() {
                 // The step at `cycle - 1` either found nothing to do
                 // (quiet) or changed only SMX-local state whose next
-                // activity the freshly-staged shard horizons already
-                // bound (epoch batching), so every cycle before the next
+                // activity the ready horizons repaired at stage end
+                // already bound (epoch batching), so every cycle before the next
                 // component event is a no-op: jump straight there,
                 // reconstructing what the skipped no-op steps would have
                 // accumulated (occupancy integrals; the DRAM model
@@ -797,24 +771,13 @@ impl Gpu {
         if let Some(t) = self.timing.next_event_at(now) {
             fold(t);
         }
-        // On the two-phase path the shard buffers cached each SMX's bound
-        // at the end of this very step's stage phase; the steps that
-        // reach here (quiet, or SMX-pure under epoch batching) changed
-        // no SMX state since, so reuse the cache instead of rescanning
-        // every warp slab. A step that skipped staging entirely (zero
-        // issuable SMXs) leaves `staged_at` stale and takes the rescan
-        // arm, where `next_ready_at` is O(1) per idle SMX.
-        if self.staged_at == now && self.shards.len() == self.smxs.len() {
-            for fx in &self.shards {
-                if let Some(t) = fx.ready_horizon {
-                    fold(t);
-                }
-            }
-        } else {
-            for smx in &mut self.smxs {
-                if let Some(t) = smx.next_ready_at(now) {
-                    fold(t);
-                }
+        // Every SMX that staged this step repaired its ready-horizon cache
+        // at the end of its stage phase, and the steps that reach here
+        // (quiet, or SMX-pure under epoch batching) changed no SMX state
+        // since, so this is O(1) per SMX.
+        for smx in &mut self.smxs {
+            if let Some(t) = smx.next_ready_at(now) {
+                fold(t);
             }
         }
         // Pending spilled-descriptor fetches wake the distribution path.
@@ -857,11 +820,11 @@ impl Gpu {
     /// the next component event afterwards. True for a *quiet* step — no
     /// kernel installed, no thread block placed, no warp picked, no
     /// memory completion delivered — and, with
-    /// [`epoch_batching`](GpuConfig::epoch_batching) on the staged
-    /// engine, also for an *SMX-pure* step: warps issued but staged zero
+    /// [`epoch_batching`](GpuConfig::epoch_batching) on, also for an
+    /// *SMX-pure* step: warps issued but staged zero
     /// cross-SMX effects, so every schedulable input the horizons do not
-    /// already bound is unchanged (the shard horizons were recaptured at
-    /// the end of this very step's stage phase). Any other step may have
+    /// already bound is unchanged (each staged SMX repaired its ready
+    /// horizon at the end of this very step's stage phase). Any other step may have
     /// created distribution work the horizons do not model, so it must
     /// be followed by a real step (see DESIGN.md, "Epoch amortization").
     fn step_core(&mut self, ctrl: Option<&StageControl>) -> Result<bool, SimError> {
@@ -870,12 +833,11 @@ impl Gpu {
 
         // 0. Degradation ladder: matured launch retries and parked host
         // launches re-attempt before the KMU ticks, in the serial phase
-        // of both engines (see runtime::degrade).
+        // (see runtime::degrade).
         let mut quiet = true;
-        // Candidate for the SMX-pure epoch jump; only the staged engine
-        // can prove purity (the serial engine applies effects directly),
-        // and any cross-SMX activity below falsifies it.
-        let mut local = ctrl.is_some() && self.cfg.epoch_batching;
+        // Candidate for the SMX-pure epoch jump; any cross-SMX activity
+        // below falsifies it.
+        let mut local = self.cfg.epoch_batching;
         if (!self.retry_q.is_empty() || !self.host_deferred.is_empty())
             && self.process_deferred(now)?
         {
@@ -902,76 +864,64 @@ impl Gpu {
             local = false;
         }
 
-        // 3. SMXs: issue warps — the serial single-phase engine, or the
-        // two-phase stage/commit engine when a worker pool is attached
-        // (see shard.rs for the determinism argument).
-        match ctrl {
-            None => {
-                for s in 0..self.smxs.len() {
-                    let picks = self.smxs[s].select_warps(
-                        now,
-                        self.cfg.issue_per_cycle,
-                        self.cfg.warp_sched,
-                    );
-                    if picks > 0 {
-                        quiet = false;
-                    }
-                    for k in 0..picks {
-                        let w = self.smxs[s].picked()[k];
-                        if let Some(done_slot) = self.issue_warp(s, w, now)? {
-                            self.on_tb_complete(s, done_slot, now)?;
+        // 3. SMXs: issue warps in two phases (see shard.rs for the
+        // determinism argument). Only SMXs whose ready-horizon cache
+        // admits an issue this cycle are staged; every other shard is
+        // still empty from its last commit. With zero issuable SMXs there
+        // is nothing to stage or commit at all.
+        let issuable = self.smxs.iter().filter(|x| x.may_issue(now)).count();
+        if issuable > 0 {
+            let metering = self.tracer.on(Category::Engine);
+            let t0 = metering.then(Instant::now);
+            let mask = self.tracer.mask();
+            let mut shards = std::mem::take(&mut self.shards);
+            if shards.len() != self.smxs.len() {
+                shards.resize_with(self.smxs.len(), SmxEffects::default);
+            }
+            // Cross-thread handoff only pays off when enough SMXs can
+            // actually issue; below the threshold (or with no pool)
+            // staging runs inline — same code, same results, no barrier
+            // round-trip.
+            match ctrl {
+                Some(ctrl) if issuable >= self.pool_threshold => {
+                    ctrl.stage(&mut self.smxs, &mut shards, &self.cfg, mask, now);
+                }
+                _ => {
+                    for (x, fx) in self.smxs.iter_mut().zip(shards.iter_mut()) {
+                        if x.may_issue(now) {
+                            shard::stage_smx(x, fx, &self.cfg, mask, now);
                         }
                     }
                 }
             }
-            Some(ctrl) => {
-                // Cheap quiet step: with zero issuable SMXs there is
-                // nothing to stage or commit, so the shard buffers stay
-                // untouched (the horizon fold then falls back to the
-                // O(1)-per-SMX ready-min scan instead of the cache).
-                let issuable = self.smxs.iter().filter(|x| x.may_issue(now)).count();
-                if issuable > 0 {
-                    let metering = self.tracer.on(Category::Engine);
-                    let t0 = metering.then(Instant::now);
-                    let mask = self.tracer.mask();
-                    let mut shards = std::mem::take(&mut self.shards);
-                    if shards.len() != self.smxs.len() {
-                        shards.resize_with(self.smxs.len(), SmxEffects::default);
-                    }
-                    // Cross-thread handoff only pays off when enough SMXs
-                    // can actually issue; below the threshold staging
-                    // runs inline (same code, same results, no barrier
-                    // round-trip).
-                    if issuable >= self.pool_threshold {
-                        ctrl.stage(&mut self.smxs, &mut shards, &self.cfg, mask, now);
-                    } else {
-                        for (x, fx) in self.smxs.iter_mut().zip(shards.iter_mut()) {
-                            shard::stage_smx(x, fx, &self.cfg, mask, now);
-                        }
-                    }
-                    self.staged_at = now;
-                    let t1 = metering.then(Instant::now);
-                    let mut commit_err = None;
-                    for (s, fx) in shards.iter_mut().enumerate() {
-                        if fx.picks > 0 {
-                            quiet = false;
-                        }
-                        if !fx.is_pure() {
-                            local = false;
-                        }
-                        if let Err(e) = self.commit_shard(s, fx, now) {
-                            commit_err = Some(e);
-                            break;
-                        }
-                    }
-                    self.shards = shards;
-                    if let Some(e) = commit_err {
-                        return Err(e);
-                    }
-                    if let (Some(t0), Some(t1)) = (t0, t1) {
-                        self.note_engine_step(t0, t1, now);
-                    }
+            let t1 = metering.then(Instant::now);
+            let mut commit_err = None;
+            for (s, fx) in shards.iter_mut().enumerate() {
+                // No pick, no issue: nothing was staged.
+                if fx.picks == 0 {
+                    continue;
                 }
+                quiet = false;
+                if !fx.is_pure() {
+                    local = false;
+                }
+                if let Err(e) = self.commit_shard(s, fx, now) {
+                    commit_err = Some(e);
+                    break;
+                }
+            }
+            if let Some(e) = commit_err {
+                // Later shards staged but never committed: drop their
+                // items so no later step commits them.
+                for fx in &mut shards {
+                    fx.clear();
+                }
+                self.shards = shards;
+                return Err(e);
+            }
+            self.shards = shards;
+            if let (Some(t0), Some(t1)) = (t0, t1) {
+                self.note_engine_step(t0, t1, now);
             }
         }
 
@@ -1013,8 +963,8 @@ impl Gpu {
         if completions > 0 {
             self.progress_marker += 1;
             quiet = false;
-            // Wake-ups postdate the stage phase, so the cached shard
-            // horizons no longer bound this step's SMX state.
+            // Wake-ups postdate the stage phase, so the horizons repaired
+            // there no longer bound this step's SMX state.
             local = false;
         }
 
@@ -1353,579 +1303,46 @@ impl Gpu {
         None
     }
 
-    // ---- warp issue --------------------------------------------------------
-
-    /// Issues one instruction for warp `w` on SMX `s`. Returns the TB slot
-    /// index when this issue completed the warp's entire thread block.
-    fn issue_warp(&mut self, s: usize, w: usize, now: u64) -> Result<Option<usize>, SimError> {
-        let smx = &mut self.smxs[s];
-        let Smx {
-            warps, tb_slots, ..
-        } = smx;
-        let Some(warp) = warps[w].as_mut() else {
-            return Ok(None);
-        };
-        if !matches!(warp.state, WarpState::Ready) || warp.ready_at > now {
-            return Ok(None);
-        }
-        warp.sync_reconvergence();
-        // Borrow the warp's thread block exactly once for the whole issue.
-        // The completion paths below mutate the slot's liveness, so a
-        // second lookup later in the cycle could observe (and unwrap) a
-        // slot already vacated by this very issue — borrow up front and
-        // report an empty slot as a typed invariant violation instead.
-        let tb_slot = warp.tb_slot;
-        let Some(tb) = tb_slots[tb_slot].as_mut() else {
-            return Err(invariant(
-                now,
-                format!("warp {w} on SMX {s} names empty TB slot {tb_slot}"),
-            ));
-        };
-        if warp.is_done() {
-            warp.state = WarpState::Done;
-            smx.live_warps -= 1;
-            tb.live_warps -= 1;
-            let released = tb.live_warps == 0;
-            // A disappearing warp can satisfy a barrier.
-            if !released && tb.live_warps > 0 && tb.barrier_arrived >= tb.live_warps {
-                Self::release_barrier(warps, tb, now, 20);
-            }
-            return Ok(released.then_some(tb_slot));
-        }
-
-        let Some((pc, mask)) = warp.current() else {
-            return Err(invariant(
-                now,
-                format!("warp {w} on SMX {s} has no current execution path"),
-            ));
-        };
-        let inst = *tb.kernel_fn.fetch(pc);
-        let m = *tb.kernel_fn.uop(pc);
-        let legacy = self.cfg.legacy_exec;
-
-        self.stats.warp_issues += 1;
-        self.stats.active_lanes += u64::from(mask.count_ones());
-        if self.tracer.on(Category::Warp) {
-            self.tracer.emit(
-                now,
-                EventKind::WarpIssue {
-                    smx: s as u32,
-                    warp: w as u32,
-                    lanes: mask.count_ones(),
-                },
-            );
-        }
-
-        let pipe = self.cfg.pipeline;
-        let lat = self.cfg.latency;
-        let fault = self.cfg.fault;
-
-        let block_dim = tb.block_dim;
-        let blkid = tb.tbcr.blkid;
-        let nctaid = tb.nctaid;
-        let param_base = tb.param_base;
-        let env_of = move |lane: u32, warp_in_tb: u32| -> ThreadEnv {
-            let linear = u64::from(warp_in_tb) * WARP_SIZE as u64 + u64::from(lane);
-            let tid = block_dim.delinearize(linear);
-            ThreadEnv {
-                tid,
-                ctaid: (blkid, 0, 0),
-                ntid: block_dim,
-                nctaid: Dim3::x(nctaid),
-                lane,
-                smid: s as u32,
-                param_base,
-            }
-        };
-        let shared_fault = |addr: u32, size: usize| SimError::SharedMemFault {
-            smx: s,
-            tb_slot,
-            addr,
-            size: size as u32,
-        };
-
-        match m.op {
-            UOp::Bra {
-                pred,
-                target,
-                reconv,
-            } => {
-                // Predicates live in warp-wide lane masks, so the taken
-                // set is two bitwise ops regardless of executor mode.
-                let taken = match pred {
-                    None => mask,
-                    Some((p, negate)) => {
-                        let pm = warp.regs.pred_mask(p);
-                        (if negate { !pm } else { pm }) & mask
-                    }
-                };
-                warp.branch(taken, target, reconv);
-                warp.ready_at = now + pipe.alu;
-            }
-            UOp::Exit => {
-                warp.exit_lanes(mask);
-                if warp.is_done() {
-                    smx.live_warps -= 1;
-                    tb.live_warps -= 1;
-                    let released = tb.live_warps == 0;
-                    if !released && tb.barrier_arrived >= tb.live_warps {
-                        Self::release_barrier(warps, tb, now, pipe.alu);
-                    }
-                    return Ok(released.then_some(tb_slot));
-                }
-                warp.ready_at = now + pipe.alu;
-            }
-            UOp::Bar => {
-                warp.advance_pc();
-                warp.state = WarpState::AtBarrier;
-                tb.barrier_arrived += 1;
-                self.stats.barrier_waits += 1;
-                if self.tracer.on(Category::Warp) {
-                    self.tracer.emit(
-                        now,
-                        EventKind::WarpStall {
-                            smx: s as u32,
-                            warp: w as u32,
-                            reason: StallReason::Barrier.code(),
-                        },
-                    );
-                    self.tracer.emit(
-                        now,
-                        EventKind::BarrierWait {
-                            smx: s as u32,
-                            tb_slot: tb_slot as u32,
-                            arrived: tb.barrier_arrived,
-                            expected: tb.live_warps,
-                        },
-                    );
-                }
-                if tb.barrier_arrived >= tb.live_warps {
-                    Self::release_barrier(warps, tb, now, pipe.shared_mem);
-                }
-            }
-            UOp::GetParamBuf { dst, words } => {
-                warp.advance_pc();
-                let x = u64::from(mask.count_ones());
-                let bytes = u32::from(words.max(1)) * 4;
-                for lane in 0..WARP_SIZE as u32 {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let Some(addr) =
-                        heap_alloc(&mut self.alloc, &fault, now, &mut self.stats, bytes)
-                    else {
-                        return Err(SimError::OutOfMemory { bytes });
-                    };
-                    self.param_bytes.insert(addr, bytes);
-                    self.stats.add_pending(u64::from(bytes));
-                    warp.regs.write_lane(dst, lane as usize, addr);
-                }
-                warp.ready_at = now + lat.get_param_buf(x);
-            }
-            UOp::Launch {
-                kind,
-                kernel,
-                ntb,
-                param,
-            } => {
-                warp.advance_pc();
-                let hw_base = warp.hw_slot as u32 * WARP_SIZE as u32;
-                // Pooled on `self` (disjoint field from the SMX borrow):
-                // the per-issue request list never allocates steady-state.
-                self.launch_buf.clear();
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        if let Effect::Launch(req) = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        ) {
-                            self.launch_buf.push((hw_base + lane, req));
-                        }
-                    }
-                } else {
-                    let mut ntbs = [0u32; WARP_SIZE];
-                    warp.regs.src_sweep(ntb, mask, &mut ntbs);
-                    let mut rest = mask;
-                    while rest != 0 {
-                        let lane = rest.trailing_zeros();
-                        rest &= rest - 1;
-                        self.launch_buf.push((
-                            hw_base + lane,
-                            LaunchRequest {
-                                kind,
-                                kernel,
-                                ntb: ntbs[lane as usize],
-                                param_addr: warp.regs.lane(param, lane as usize),
-                            },
-                        ));
-                    }
-                }
-                let x = self.launch_buf.len() as u64;
-                let is_agg = kind == LaunchKind::Agg;
-                if x > 0 && self.tracer.on(Category::Warp) {
-                    self.tracer.emit(
-                        now,
-                        EventKind::WarpStall {
-                            smx: s as u32,
-                            warp: w as u32,
-                            reason: StallReason::LaunchApi.code(),
-                        },
-                    );
-                }
-                warp.ready_at = now
-                    + if is_agg {
-                        lat.agg_launch
-                    } else {
-                        lat.launch_device(x)
-                    };
-                let visible_at = warp.ready_at;
-                for i in 0..self.launch_buf.len() {
-                    let (hw_tid, req) = self.launch_buf[i];
-                    self.handle_launch(hw_tid, req, now, visible_at)?;
-                }
-            }
-            UOp::Ld { .. } | UOp::St { .. } | UOp::LdParam { .. } | UOp::Atom { .. } => {
-                warp.advance_pc();
-                let mut global_addrs = [None::<u32>; WARP_SIZE];
-                let mut any_shared = false;
-                let mut is_load_or_atomic = false;
-                let mut is_atomic = false;
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        let eff = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        );
-                        match eff {
-                            Effect::Load { dst, req } => {
-                                is_load_or_atomic = true;
-                                match req.space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        let v = tb.shared_read(req.addr).ok_or_else(|| {
-                                            shared_fault(req.addr, tb.shared.len())
-                                        })?;
-                                        warp.regs.write_lane(dst, lane as usize, v);
-                                    }
-                                    Space::Global => {
-                                        let v = self.mem.read_u32(req.addr);
-                                        warp.regs.write_lane(dst, lane as usize, v);
-                                        global_addrs[lane as usize] = Some(req.addr);
-                                    }
-                                }
-                            }
-                            Effect::Store { req, value } => match req.space {
-                                Space::Shared => {
-                                    any_shared = true;
-                                    tb.shared_write(req.addr, value)
-                                        .ok_or_else(|| shared_fault(req.addr, tb.shared.len()))?;
-                                }
-                                Space::Global => {
-                                    self.mem.write_u32(req.addr, value);
-                                    global_addrs[lane as usize] = Some(req.addr);
-                                }
-                            },
-                            Effect::Atomic {
-                                dst,
-                                op,
-                                req,
-                                operand,
-                                comparand,
-                            } => {
-                                is_load_or_atomic = true;
-                                is_atomic = true;
-                                let old = match req.space {
-                                    Space::Shared => tb
-                                        .shared_read(req.addr)
-                                        .ok_or_else(|| shared_fault(req.addr, tb.shared.len()))?,
-                                    Space::Global => self.mem.read_u32(req.addr),
-                                };
-                                let new = apply_atomic(op, old, operand, comparand);
-                                match req.space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        tb.shared_write(req.addr, new).ok_or_else(|| {
-                                            shared_fault(req.addr, tb.shared.len())
-                                        })?;
-                                    }
-                                    Space::Global => {
-                                        self.mem.write_u32(req.addr, new);
-                                        global_addrs[lane as usize] = Some(req.addr);
-                                    }
-                                }
-                                if let Some(d) = dst {
-                                    warp.regs.write_lane(d, lane as usize, old);
-                                }
-                            }
-                            _ => {
-                                return Err(invariant(
-                                    now,
-                                    "memory instruction produced a non-memory effect".into(),
-                                ))
-                            }
-                        }
-                    }
-                } else {
-                    // Space is static per instruction, so each shape
-                    // branches once, sweeps addresses/operands across the
-                    // active lanes, and applies side effects in lane order
-                    // (preserving intra-warp aliasing and atomic
-                    // sequencing exactly as the per-lane executor did).
-                    match m.op {
-                        UOp::Ld {
-                            dst,
-                            space,
-                            addr,
-                            offset,
-                        } => {
-                            is_load_or_atomic = true;
-                            let mut addrs = [0u32; WARP_SIZE];
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut vals = [0u32; WARP_SIZE];
-                            let mut rest = mask;
-                            match space {
-                                Space::Shared => {
-                                    any_shared = true;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        vals[lane] =
-                                            tb.shared_read(addrs[lane]).ok_or_else(|| {
-                                                shared_fault(addrs[lane], tb.shared.len())
-                                            })?;
-                                    }
-                                }
-                                Space::Global => {
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        vals[lane] = self.mem.read_u32(addrs[lane]);
-                                        global_addrs[lane] = Some(addrs[lane]);
-                                    }
-                                }
-                            }
-                            warp.regs.store_masked(dst, &vals, mask);
-                        }
-                        UOp::LdParam { dst, word } => {
-                            is_load_or_atomic = true;
-                            let addr = param_base.wrapping_add(u32::from(word) * 4);
-                            // One functional read suffices — the backing
-                            // store is pure and every lane loads the same
-                            // word — but coalescing still sees the full
-                            // per-lane address image.
-                            let v = self.mem.read_u32(addr);
-                            warp.regs.broadcast(dst, v, mask);
-                            let mut rest = mask;
-                            while rest != 0 {
-                                let lane = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                global_addrs[lane] = Some(addr);
-                            }
-                        }
-                        UOp::St {
-                            space,
-                            addr,
-                            offset,
-                            src,
-                        } => {
-                            let mut addrs = [0u32; WARP_SIZE];
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut vals = [0u32; WARP_SIZE];
-                            warp.regs.src_sweep(src, mask, &mut vals);
-                            let mut rest = mask;
-                            match space {
-                                Space::Shared => {
-                                    any_shared = true;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        tb.shared_write(addrs[lane], vals[lane]).ok_or_else(
-                                            || shared_fault(addrs[lane], tb.shared.len()),
-                                        )?;
-                                    }
-                                }
-                                Space::Global => {
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        self.mem.write_u32(addrs[lane], vals[lane]);
-                                        global_addrs[lane] = Some(addrs[lane]);
-                                    }
-                                }
-                            }
-                        }
-                        UOp::Atom {
-                            dst,
-                            op,
-                            space,
-                            addr,
-                            offset,
-                            src,
-                            extra,
-                        } => {
-                            is_load_or_atomic = true;
-                            is_atomic = true;
-                            let mut addrs = [0u32; WARP_SIZE];
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut opers = [0u32; WARP_SIZE];
-                            warp.regs.src_sweep(src, mask, &mut opers);
-                            // Address and operand registers are
-                            // lane-disjoint from earlier lanes' destination
-                            // writebacks, so the up-front sweeps observe
-                            // the same values the per-lane executor would.
-                            let mut rest = mask;
-                            while rest != 0 {
-                                let lane = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                let comparand = extra.map(|r| warp.regs.lane(r, lane));
-                                let old = match space {
-                                    Space::Shared => {
-                                        tb.shared_read(addrs[lane]).ok_or_else(|| {
-                                            shared_fault(addrs[lane], tb.shared.len())
-                                        })?
-                                    }
-                                    Space::Global => self.mem.read_u32(addrs[lane]),
-                                };
-                                let new = apply_atomic(op, old, opers[lane], comparand);
-                                match space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        tb.shared_write(addrs[lane], new).ok_or_else(|| {
-                                            shared_fault(addrs[lane], tb.shared.len())
-                                        })?;
-                                    }
-                                    Space::Global => {
-                                        self.mem.write_u32(addrs[lane], new);
-                                        global_addrs[lane] = Some(addrs[lane]);
-                                    }
-                                }
-                                if let Some(d) = dst {
-                                    warp.regs.write_lane(d, lane, old);
-                                }
-                            }
-                        }
-                        _ => unreachable!("arm is gated on memory micro-ops"),
-                    }
-                }
-                // Pooled on `self` (disjoint field from the SMX borrow):
-                // one scratch segment list reused across every memory
-                // instruction instead of a fresh `Vec` per access.
-                let mut txns = std::mem::take(&mut self.txn_buf);
-                coalesce_into(&global_addrs, &mut txns);
-                if txns.is_empty() {
-                    // Shared-memory only.
-                    warp.ready_at = now
-                        + if any_shared {
-                            pipe.shared_mem
-                        } else {
-                            pipe.alu
-                        };
-                } else if is_load_or_atomic {
-                    let kind = if is_atomic {
-                        AccessKind::Atomic
-                    } else {
-                        AccessKind::Load
-                    };
-                    let mut outstanding = 0u32;
-                    for &t in &txns {
-                        if let Some(id) = self.timing.access(s, t, kind, now) {
-                            self.access_owner.insert(id, (s, w));
-                            outstanding += 1;
-                        }
-                    }
-                    warp.state = WarpState::WaitingMem { outstanding };
-                    if self.tracer.on(Category::Warp) {
-                        self.tracer.emit(
-                            now,
-                            EventKind::WarpStall {
-                                smx: s as u32,
-                                warp: w as u32,
-                                reason: StallReason::Memory.code(),
-                            },
-                        );
-                    }
-                } else {
-                    // Posted stores.
-                    for &t in &txns {
-                        let _ = self.timing.access(s, t, AccessKind::Store, now);
-                    }
-                    warp.ready_at = now + pipe.store_issue;
-                }
-                self.txn_buf = txns;
-            }
-            UOp::MemFence => {
-                warp.advance_pc();
-                warp.ready_at = now + pipe.memfence;
-            }
-            UOp::Nop => {
-                warp.advance_pc();
-                warp.ready_at = now + 1;
-            }
-            ref alu => {
-                warp.advance_pc();
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        let eff = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        );
-                        debug_assert_eq!(eff, Effect::None, "ALU class must be self-contained");
-                    }
-                } else {
-                    exec_alu(alu, &mut warp.regs, &warp.env, mask);
-                }
-                warp.ready_at = now + class_latency(m.lat, &pipe);
-            }
-        }
-        Ok(None)
-    }
-
     // ---- two-phase commit --------------------------------------------------
 
     /// Applies one SMX's staged effects in stream order — the serial half
-    /// of the two-phase engine. Items were staged exactly where the
-    /// serial engine applies the matching side effects, and shards commit
-    /// in SMX-index order, so the shared machine (functional memory,
-    /// heap, timing model, KD/AGT/KMU, stats, traces) sees the identical
-    /// mutation sequence. A shard's staged error is raised only after its
-    /// already-staged items commit, matching the serial engine's
-    /// first-error state.
-    fn commit_shard(&mut self, s: usize, fx: &mut SmxEffects, now: u64) -> Result<(), SimError> {
+    /// of the two-phase engine. Items are staged in issue order and
+    /// shards commit in SMX-index order, so the shared machine
+    /// (functional memory, heap, timing model, KD/AGT/KMU, stats, traces)
+    /// sees one mutation sequence whoever staged the shards. A shard's
+    /// staged error is raised only after its already-staged items
+    /// commit.
+    pub(crate) fn commit_shard(
+        &mut self,
+        s: usize,
+        fx: &mut SmxEffects,
+        now: u64,
+    ) -> Result<(), SimError> {
         // Per-issue stats were pre-aggregated at stage time; three adds
         // replace one item per issue. Their order against the item stream
         // is unobservable — `Stats` is only read between steps.
         self.stats.warp_issues += fx.issues;
         self.stats.active_lanes += fx.lanes;
         self.stats.barrier_waits += fx.barriers;
-        if fx.items.is_empty() {
-            // Nothing staged (idle SMX, or pure picks with tracing off):
-            // skip the drain machinery entirely.
-            return match fx.err.take() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
+        // Pure picks with tracing off stage no items: skip the drain.
+        let applied = if fx.items.is_empty() {
+            Ok(())
+        } else {
+            self.apply_items(s, fx, now)
+        };
+        let staged_err = fx.err.take();
+        // The shard is consumed either way, so an SMX that is not staged
+        // next step leaves an empty shard behind.
+        fx.clear();
+        applied?;
+        staged_err.map_or(Ok(()), Err)
+    }
+
+    /// Applies a shard's staged items in stream order.
+    fn apply_items(&mut self, s: usize, fx: &SmxEffects, now: u64) -> Result<(), SimError> {
         let mut ids = std::mem::take(&mut self.txn_ids_buf);
-        for i in 0..fx.items.len() {
-            match fx.items[i] {
+        for item in &fx.items {
+            match *item {
                 EffectItem::TraceRun { start, len } => {
                     // Serialization (cycle stamping, run assembly)
                     // happened on the stage worker; splice the whole
@@ -1938,6 +1355,28 @@ impl Gpu {
                     self.warp_mut(s, w, now)?
                         .regs
                         .write_lane(dst, lane as usize, v);
+                }
+                EffectItem::WarpLoad {
+                    w,
+                    dst,
+                    mask,
+                    start,
+                } => {
+                    let addrs = &fx.addrs[start as usize..start as usize + WARP_SIZE];
+                    let mut vals = [0u32; WARP_SIZE];
+                    let mut rest = mask;
+                    while rest != 0 {
+                        let lane = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        vals[lane] = self.mem.read_u32(addrs[lane]);
+                    }
+                    self.warp_mut(s, w, now)?
+                        .regs
+                        .store_masked(dst, &vals, mask);
+                }
+                EffectItem::ParamLoad { w, dst, addr, mask } => {
+                    let v = self.mem.read_u32(addr);
+                    self.warp_mut(s, w, now)?.regs.broadcast(dst, v, mask);
                 }
                 EffectItem::GlobalStore { addr, value } => self.mem.write_u32(addr, value),
                 EffectItem::GlobalAtomic {
@@ -1993,8 +1432,7 @@ impl Gpu {
                             self.access_owner.insert(id, (s, w as usize));
                         }
                         // Stage assumed every transaction is tracked; fix
-                        // the count up if the timing model declined some
-                        // (matches the serial engine's exact count).
+                        // the count up if the timing model declined some.
                         if ids.len() as u32 != len {
                             if let Some(warp) = self.smxs[s].warps[w as usize].as_mut() {
                                 warp.state = WarpState::WaitingMem {
@@ -2012,13 +1450,8 @@ impl Gpu {
                 EffectItem::TbComplete { tbcr } => self.finish_tb(tbcr, now)?,
             }
         }
-        fx.items.clear();
-        fx.events.clear();
         self.txn_ids_buf = ids;
-        match fx.err.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Mutable warp for a staged register writeback; a vanished warp here
@@ -2056,21 +1489,10 @@ impl Gpu {
 
     // ---- thread-block / kernel completion ----------------------------------------
 
-    fn on_tb_complete(&mut self, s: usize, slot: usize, now: u64) -> Result<(), SimError> {
-        let Some(tbcr) = self.smxs[s].release_tb(slot) else {
-            return Err(invariant(
-                now,
-                format!("releasing TB slot {slot} on SMX {s}: empty or warps still live"),
-            ));
-        };
-        self.finish_tb(tbcr, now)
-    }
-
     /// Post-release bookkeeping for a completed thread block: KD/AGT
-    /// counters, kernel retirement, FCFS/pool/KMU/heap cleanup. Shared by
-    /// the serial engine (via [`on_tb_complete`](Self::on_tb_complete))
-    /// and the two-phase commit phase, whose stage half already released
-    /// the slot SMX-locally.
+    /// counters, kernel retirement, FCFS/pool/KMU/heap cleanup. Runs in
+    /// the commit phase; the stage half already released the slot
+    /// SMX-locally.
     fn finish_tb(&mut self, tbcr: Tbcr, now: u64) -> Result<(), SimError> {
         self.stats.tb_completed += 1;
         self.progress_marker += 1;

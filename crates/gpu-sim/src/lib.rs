@@ -40,7 +40,7 @@ mod trace;
 mod watchdog;
 
 pub use config::{
-    CancelToken, DegradePolicy, GpuConfig, LatencyTable, PipelineLatencies, RunBudget,
+    CancelToken, DegradePolicy, Fnv, GpuConfig, LatencyTable, PipelineLatencies, RunBudget,
     WarpSchedPolicy,
 };
 pub use dispatch::{KdeEntry, KernelDistributor, Kmu, Origin, PendingKernel};

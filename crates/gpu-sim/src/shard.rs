@@ -13,9 +13,13 @@
 //! * **Commit** (`Gpu::commit_shard` in gpu.rs) drains the staged items
 //!   in SMX-index order on the main thread, applying them to the shared
 //!   machine (functional memory, heap, `MemSubsystem`, KMU/KD/AGT,
-//!   stats, the central trace recorder) exactly where the serial engine
-//!   would — which is what makes Stats and traces bit-identical to the
-//!   serial engine at any thread count.
+//!   stats, the central trace recorder) in issue order.
+//!
+//! This is the only warp-issue path. The serial engine is this engine
+//! with every shard staged inline on the stepping thread; the worker
+//! pool ([`StageControl`]) only changes *who* runs [`stage_smx`], never
+//! the staged items or their commit order — which is what makes Stats
+//! and traces bit-identical at any thread count.
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -34,31 +38,47 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One deferred, globally visible effect staged by [`stage_smx`]. Items
 /// are committed in staging order within a shard and in SMX-index order
-/// across shards — together the exact order the serial engine applies
-/// them in. Trace events are pre-serialized into
-/// [`SmxEffects::events`] at stage time and referenced by [`TraceRun`]
-/// ranges riding the same stream, so event interleavings still match the
-/// serial engine exactly; per-issue stats are pre-aggregated into shard
-/// counters (their commit order is unobservable — `Stats` is only read
-/// between steps).
+/// across shards — one order whoever staged them. Trace events are
+/// pre-serialized into [`SmxEffects::events`] at stage time and
+/// referenced by [`TraceRun`] ranges riding the same stream, so event
+/// interleavings are fixed too; per-issue stats are pre-aggregated into
+/// shard counters (their commit order is unobservable — `Stats` is only
+/// read between steps).
 ///
 /// [`TraceRun`]: EffectItem::TraceRun
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum EffectItem {
     /// A run of pre-stamped trace events
     /// (`SmxEffects::events[start..start + len]`), positioned exactly
-    /// where the serial engine emits them relative to the commit-side
+    /// where the issue emitted them relative to the commit-side
     /// emissions of the other items. Serialization (cycle stamping, run
     /// assembly) happened on the worker at stage time; the commit phase
     /// only bulk-appends.
     TraceRun { start: u32, len: u32 },
-    /// A global-memory lane load: read at commit, written back into the
-    /// lane's destination register.
+    /// A global-memory lane load from the per-lane executor: read at
+    /// commit, written back into the lane's destination register.
     GlobalLoad {
         w: u32,
         lane: u8,
         dst: Reg,
         addr: u32,
+    },
+    /// A warp-wide global load: the active lanes of `mask` read
+    /// `SmxEffects::addrs[start..start + 32]` in lane order at commit,
+    /// and one masked store writes them back.
+    WarpLoad {
+        w: u32,
+        dst: Reg,
+        mask: u32,
+        start: u32,
+    },
+    /// A warp's parameter-word load: every lane reads the same word, so
+    /// commit does one read and broadcasts it, keeping `dst` uniform.
+    ParamLoad {
+        w: u32,
+        dst: Reg,
+        addr: u32,
+        mask: u32,
     },
     /// A global-memory lane store.
     GlobalStore { addr: u32, value: u32 },
@@ -74,7 +94,7 @@ pub(crate) enum EffectItem {
         comparand: Option<u32>,
     },
     /// One lane's `cudaGetParameterBuffer` heap allocation (bump-allocator
-    /// addresses depend on commit order, which preserves the serial one).
+    /// addresses depend on commit order, which is issue order).
     AllocParam {
         w: u32,
         lane: u8,
@@ -104,10 +124,12 @@ pub(crate) enum EffectItem {
 /// commit phase.
 #[derive(Debug, Default)]
 pub(crate) struct SmxEffects {
-    /// Staged effects in serial-engine order.
+    /// Staged effects in issue order.
     pub(crate) items: Vec<EffectItem>,
     /// Coalesced transaction segments referenced by `MemIssue` items.
     pub(crate) txns: Vec<u32>,
+    /// Lane address images (32 per item) referenced by `WarpLoad` items.
+    pub(crate) addrs: Vec<u32>,
     /// Pre-stamped trace events referenced by `TraceRun` items: the
     /// commit-offloaded serialization of this shard's trace segment.
     pub(crate) events: Vec<(u64, EventKind)>,
@@ -128,13 +150,9 @@ pub(crate) struct SmxEffects {
     /// Pre-aggregated `stats.barrier_waits`.
     pub(crate) barriers: u64,
     /// First error hit while staging this SMX; raised by the commit phase
-    /// *after* this shard's already-staged items are applied, which is
-    /// exactly the state the serial engine leaves behind at first error.
+    /// *after* this shard's already-staged items are applied, so the
+    /// machine stops in the state the issues before the error left.
     pub(crate) err: Option<SimError>,
-    /// `Smx::next_ready_at` bound captured at the end of staging, so a
-    /// quiet step's horizon reduction reuses the shard-local value
-    /// instead of rescanning every warp slab serially.
-    pub(crate) ready_horizon: Option<u64>,
 }
 
 impl SmxEffects {
@@ -144,6 +162,7 @@ impl SmxEffects {
     pub(crate) fn clear(&mut self) {
         self.items.clear();
         self.txns.clear();
+        self.addrs.clear();
         self.events.clear();
         self.launch_tmp.clear();
         self.picks = 0;
@@ -152,7 +171,6 @@ impl SmxEffects {
         self.lanes = 0;
         self.barriers = 0;
         self.err = None;
-        self.ready_horizon = None;
     }
 
     /// True when the commit phase consumed everything (invariant law 7).
@@ -227,12 +245,16 @@ pub(crate) fn stage_smx(
             }
         }
     }
-    fx.ready_horizon = smx.next_ready_at(now);
+    // Repair the SMX's ready-horizon cache while its warps are hot: the
+    // next step's `may_issue` preflight and the event horizon then read
+    // it in O(1) instead of rescanning.
+    smx.next_ready_at(now);
 }
 
-/// The SMX-local half of [`Gpu::issue_warp`] — mirrors it arm by arm,
-/// staging every global effect instead of applying it. Returns the TB
-/// slot index when this issue completed the warp's entire thread block.
+/// Issues one instruction for warp `w`: applies its SMX-local half
+/// (registers, SIMT stack, shared memory, barriers, `ready_at`) and
+/// stages every global effect into `fx`. Returns the TB slot index when
+/// this issue completed the warp's entire thread block.
 fn stage_warp(
     smx: &mut Smx,
     fx: &mut SmxEffects,
@@ -595,16 +617,18 @@ fn stage_warp(
                                 warp.regs.store_masked(dst, &vals, mask);
                             }
                             Space::Global => {
+                                let start = fx.addrs.len() as u32;
+                                fx.addrs.extend_from_slice(&addrs);
+                                fx.push_global(EffectItem::WarpLoad {
+                                    w: w as u32,
+                                    dst,
+                                    mask,
+                                    start,
+                                });
                                 let mut rest = mask;
                                 while rest != 0 {
                                     let lane = rest.trailing_zeros() as usize;
                                     rest &= rest - 1;
-                                    fx.push_global(EffectItem::GlobalLoad {
-                                        w: w as u32,
-                                        lane: lane as u8,
-                                        dst,
-                                        addr: addrs[lane],
-                                    });
                                     global_addrs[lane] = Some(addrs[lane]);
                                 }
                             }
@@ -613,19 +637,20 @@ fn stage_warp(
                     UOp::LdParam { dst, word } => {
                         is_load_or_atomic = true;
                         let addr = param_base.wrapping_add(u32::from(word) * 4);
-                        // The functional read happens at commit, so stage
-                        // one GlobalLoad per active lane exactly as the
-                        // scalar executor did.
+                        // One functional read at commit suffices — the
+                        // backing store is pure and every lane loads the
+                        // same word — but coalescing still sees the full
+                        // per-lane address image.
+                        fx.push_global(EffectItem::ParamLoad {
+                            w: w as u32,
+                            dst,
+                            addr,
+                            mask,
+                        });
                         let mut rest = mask;
                         while rest != 0 {
                             let lane = rest.trailing_zeros() as usize;
                             rest &= rest - 1;
-                            fx.push_global(EffectItem::GlobalLoad {
-                                w: w as u32,
-                                lane: lane as u8,
-                                dst,
-                                addr,
-                            });
                             global_addrs[lane] = Some(addr);
                         }
                     }
@@ -1017,6 +1042,106 @@ mod tests {
         });
     }
 
+    /// Steps `gpu` until a warp can issue a micro-op matching `want` this
+    /// cycle, then stages that SMX by hand and returns its shard
+    /// (uncommitted) with the SMX index and the cycle.
+    fn stage_at(gpu: &mut Gpu, want: fn(&UOp) -> bool) -> (usize, SmxEffects, u64) {
+        for _ in 0..10_000 {
+            let now = gpu.cycle();
+            let found = gpu.smxs.iter().position(|smx| {
+                smx.warps.iter().flatten().any(|warp| {
+                    let Some((pc, _)) = warp.current() else {
+                        return false;
+                    };
+                    let tb = smx.tb_slots[warp.tb_slot].as_ref().expect("live TB");
+                    matches!(warp.state, WarpState::Ready)
+                        && warp.ready_at <= now
+                        && want(&tb.kernel_fn.uop(pc).op)
+                })
+            });
+            if let Some(s) = found {
+                let mut fx = SmxEffects::default();
+                stage_smx(&mut gpu.smxs[s], &mut fx, &gpu.cfg, 0, now);
+                return (s, fx, now);
+            }
+            gpu.step().expect("step");
+        }
+        panic!("no warp reached the wanted micro-op");
+    }
+
+    /// The warp-granular load items against the per-lane leg, on one
+    /// 24-lane warp: a parameter load commits as one broadcast that keeps
+    /// its destination uniform, a global load stages one item instead of
+    /// one per lane, and the committed lane values equal the per-lane
+    /// executor's.
+    #[test]
+    fn warp_load_items_match_the_per_lane_leg() {
+        use gpu_isa::{Dim3, KernelBuilder, Op, Program};
+        let run = |legacy: bool| {
+            let mut prog = Program::new();
+            let mut b = KernelBuilder::new("gather", Dim3::x(24), 1);
+            let base = b.ld_param(0);
+            let gtid = b.global_tid();
+            let addr = b.mad(gtid, Op::Imm(4), Op::Reg(base));
+            let v = b.ld(Space::Global, addr, 0);
+            b.st(Space::Global, addr, 0, Op::Reg(v));
+            let k = prog.add(b.build().expect("kernel builds"));
+            let mut cfg = GpuConfig::test_small();
+            cfg.legacy_exec = legacy;
+            let mut gpu = Gpu::new(cfg, prog);
+            let buf = gpu.malloc(24 * 4).expect("malloc");
+            for i in 0..24 {
+                gpu.mem_mut().write_u32(buf + 4 * i, 7 * i + 3);
+            }
+            gpu.launch(k, 1, &[buf], 0).expect("launch");
+
+            let (s, mut fx, now) = stage_at(&mut gpu, |op| matches!(op, UOp::LdParam { .. }));
+            gpu.commit_shard(s, &mut fx, now).expect("commit");
+            let warp = gpu.smxs[s].warps.iter().flatten().next().expect("warp");
+            let base_uniform = warp.regs.is_uniform(base);
+
+            let (s, mut fx, now) = stage_at(&mut gpu, |op| {
+                matches!(
+                    op,
+                    UOp::Ld {
+                        space: Space::Global,
+                        ..
+                    }
+                )
+            });
+            let loads = fx
+                .items
+                .iter()
+                .filter(|i| {
+                    matches!(
+                        i,
+                        EffectItem::WarpLoad { .. } | EffectItem::GlobalLoad { .. }
+                    )
+                })
+                .count();
+            gpu.commit_shard(s, &mut fx, now).expect("commit");
+            let warp = gpu.smxs[s].warps.iter().flatten().next().expect("warp");
+            let lanes: Vec<u32> = (0..WARP_SIZE).map(|l| warp.regs.lane(v, l)).collect();
+            (base_uniform, loads, lanes)
+        };
+        let (uniform, loads, lanes) = run(false);
+        let (_, legacy_loads, legacy_lanes) = run(true);
+        assert!(
+            uniform,
+            "a staged LdParam must leave its destination uniform"
+        );
+        assert_eq!(loads, 1, "a warp-wide global load stages one item");
+        assert_eq!(
+            legacy_loads, 24,
+            "the per-lane leg stages one item per lane"
+        );
+        assert_eq!(lanes, legacy_lanes, "committed lane values diverged");
+        let expect: Vec<u32> = (0..WARP_SIZE as u32)
+            .map(|l| if l < 24 { 7 * l + 3 } else { 0 })
+            .collect();
+        assert_eq!(lanes, expect);
+    }
+
     /// `SmxEffects::clear` must retain every allocation: across a long
     /// soak of fill/clear epochs neither the buffer pointers nor the
     /// capacities may move once warmed up, so steady-state staging never
@@ -1041,13 +1166,20 @@ mod tests {
                 },
             );
             fx.txns.push(i);
+            fx.addrs.push(i);
         }
         fx.clear();
-        let ptrs = (fx.items.as_ptr(), fx.events.as_ptr(), fx.txns.as_ptr());
+        let ptrs = (
+            fx.items.as_ptr(),
+            fx.events.as_ptr(),
+            fx.txns.as_ptr(),
+            fx.addrs.as_ptr(),
+        );
         let caps = (
             fx.items.capacity(),
             fx.events.capacity(),
             fx.txns.capacity(),
+            fx.addrs.capacity(),
         );
         for epoch in 0..10_000u32 {
             for i in 0..32u32 {
@@ -1061,11 +1193,17 @@ mod tests {
                     },
                 );
                 fx.txns.push(i);
+                fx.addrs.push(i);
             }
             fx.clear();
             assert!(fx.is_drained() && fx.is_pure());
             assert_eq!(
-                (fx.items.as_ptr(), fx.events.as_ptr(), fx.txns.as_ptr()),
+                (
+                    fx.items.as_ptr(),
+                    fx.events.as_ptr(),
+                    fx.txns.as_ptr(),
+                    fx.addrs.as_ptr()
+                ),
                 ptrs,
                 "epoch {epoch}: a staging buffer reallocated"
             );
@@ -1073,7 +1211,8 @@ mod tests {
                 (
                     fx.items.capacity(),
                     fx.events.capacity(),
-                    fx.txns.capacity()
+                    fx.txns.capacity(),
+                    fx.addrs.capacity()
                 ),
                 caps,
                 "epoch {epoch}: a staging buffer changed capacity"

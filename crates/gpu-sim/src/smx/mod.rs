@@ -426,12 +426,17 @@ impl Smx {
     ///
     /// The cached bound may be stale-low (a warp issued or blocked since
     /// it was folded); when it is not in the future it is repaired with
-    /// one scan of the warp slab — at most one scan per quiet step,
-    /// instead of one per simulated cycle.
+    /// one scan of the resident warps (`age_order` lists exactly the
+    /// occupied slots, so empty slots cost nothing) — at most one scan
+    /// per staged or quiet step, instead of one per simulated cycle.
     pub fn next_ready_at(&mut self, now: u64) -> Option<u64> {
         if self.ready_min <= now {
             let mut min = u64::MAX;
-            for w in self.warps.iter().flatten() {
+            for w in self
+                .age_order
+                .iter()
+                .filter_map(|&i| self.warps[i].as_ref())
+            {
                 if matches!(w.state, WarpState::Ready) && w.ready_at < min {
                     min = w.ready_at;
                 }

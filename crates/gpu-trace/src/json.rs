@@ -10,6 +10,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace writes — a persisted result-cache line, whose
+/// report → stats → launches → record chain nests five levels — sits far
+/// below it; the limit exists so a hostile line (say a million `[`) is
+/// rejected with an `Err` instead of overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed or to-be-written JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -100,11 +107,13 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document, rejecting trailing garbage.
+    /// Parses a complete JSON document, rejecting trailing garbage and
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -171,6 +180,8 @@ impl std::fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -217,8 +228,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -401,6 +426,22 @@ mod tests {
         let v = Json::Num(big as f64);
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back.as_u64(), Some(big));
+    }
+
+    #[test]
+    fn nesting_is_capped_before_recursing() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objs = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objs).is_err());
+        // A million unclosed brackets: an `Err`, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]
